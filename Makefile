@@ -48,7 +48,8 @@ figures:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments --all --raw-dir raw --out benchmarks/results
 
 # CI smoke: one small figure twice against a scratch store — the second
-# run must be all cache hits and the CSVs byte-identical
+# run must be all cache hits and the CSVs byte-identical; then a PIC figure
+# twice through one snapshot cache (one record per snapshot iteration)
 figures-smoke:
 	rm -rf /tmp/repro-figures-smoke && mkdir -p /tmp/repro-figures-smoke
 	PYTHONPATH=src $(PYTHON) -m repro.experiments --figures fig05 \
@@ -57,6 +58,14 @@ figures-smoke:
 		--raw-dir /tmp/repro-figures-smoke/raw --out /tmp/repro-figures-smoke/b
 	cmp /tmp/repro-figures-smoke/a/fig05.csv /tmp/repro-figures-smoke/b/fig05.csv
 	@echo "figures-smoke: warm rerun byte-identical"
+	REPRO_CACHE=/tmp/repro-figures-smoke/pic-cache PYTHONPATH=src $(PYTHON) -m repro.experiments \
+		--figures fig07 --scale tiny --raw-dir /tmp/repro-figures-smoke/raw-pic-a --out /tmp/repro-figures-smoke/pic-a
+	REPRO_CACHE=/tmp/repro-figures-smoke/pic-cache PYTHONPATH=src $(PYTHON) -m repro.experiments \
+		--figures fig07 --scale tiny --raw-dir /tmp/repro-figures-smoke/raw-pic-b --out /tmp/repro-figures-smoke/pic-b
+	cmp /tmp/repro-figures-smoke/pic-a/fig07.csv /tmp/repro-figures-smoke/pic-b/fig07.csv
+	test "$$(ls /tmp/repro-figures-smoke/pic-cache | grep -c '^picmag-')" -eq 1
+	test "$$(ls /tmp/repro-figures-smoke/pic-cache/picmag-*/ | tr '\n' ' ')" = "0.npz 100.npz 200.npz 300.npz "
+	@echo "figures-smoke: PIC rerun byte-identical from one record per snapshot"
 
 # perf-regression harness: times every optimized kernel against its
 # reference path and writes BENCH_core.json at the repo root

@@ -18,7 +18,7 @@ from ..parallel.config import use_parallel
 from .extensions import ALL_EXTENSIONS
 from .figures import ALL_FIGURES
 from .rawstore import current_raw_store, set_default_raw_store
-from .scale import get_scale
+from .scale import PROFILES, get_scale
 
 ALL_RUNNABLE = {**ALL_FIGURES, **ALL_EXTENSIONS}
 
@@ -42,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         default=None,
-        choices=("tiny", "small", "paper"),
+        choices=tuple(PROFILES),
         help="parameter profile (default: $REPRO_SCALE or 'small')",
     )
     parser.add_argument(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from ..config import env_str
 from ..instances.pic import PICConfig
 
-__all__ = ["Scale", "TINY", "SMALL", "PAPER", "LARGE", "current_scale", "get_scale"]
+__all__ = ["Scale", "TINY", "SMALL", "PAPER", "LARGE", "PROFILES", "current_scale", "get_scale"]
 
 
 def _squares(lo: int, hi: int, count: int) -> list[int]:
@@ -176,7 +176,8 @@ LARGE = Scale(
     m_fig12=9216,
 )
 
-_PROFILES = {"tiny": TINY, "small": SMALL, "paper": PAPER, "large": LARGE}
+#: every named profile, the registry ``--scale`` and ``$REPRO_SCALE`` choose from
+PROFILES = {"tiny": TINY, "small": SMALL, "paper": PAPER, "large": LARGE}
 
 
 def current_scale() -> Scale:
@@ -191,6 +192,6 @@ def get_scale(name: str | Scale | None) -> Scale:
     if isinstance(name, Scale):
         return name
     key = name.lower()
-    if key not in _PROFILES:
-        raise ValueError(f"unknown scale {name!r}; choose from {sorted(_PROFILES)}")
-    return _PROFILES[key]
+    if key not in PROFILES:
+        raise ValueError(f"unknown scale {name!r}; choose from {sorted(PROFILES)}")
+    return PROFILES[key]

@@ -3,12 +3,17 @@
 The paper extracts "the distribution of the particles every 500 iterations of
 the simulations for the first 33,500 iterations" (§4.1).
 :class:`PICMagDataset` reproduces that cadence on the substitute simulator,
-memoizes snapshots in memory, and optionally persists them to an ``.npz``
-cache so the benchmark suite does not re-run the particle pusher.
+memoizes snapshots in memory, and optionally persists each one as its own
+compressed record so the benchmark suite does not re-run the particle pusher.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +22,12 @@ from ...config import env_str
 from ...core.errors import ParameterError
 from .simulator import PICConfig, PICMagSimulator
 
-__all__ = ["PICMagDataset", "default_cache_dir"]
+__all__ = ["GENERATOR_VERSION", "PICMagDataset", "default_cache_dir"]
+
+#: Version of the snapshot generator.  Bump it whenever a change to the
+#: simulator alters any bit of any snapshot: records written by the old
+#: generator then sit under a different key and are never read again.
+GENERATOR_VERSION = 1
 
 
 def default_cache_dir() -> Path:
@@ -40,8 +50,10 @@ class PICMagDataset:
     max_iteration:
         Last snapshot iteration (33 500 in the paper).
     cache:
-        When true, snapshots are persisted under :func:`default_cache_dir`
-        keyed by the configuration.
+        When true, each snapshot is persisted under :func:`default_cache_dir`
+        as one record keyed by every :class:`PICConfig` field and
+        :data:`GENERATOR_VERSION`; a snapshot depends only on those and its
+        iteration, so streams of any cadence share records.
     """
 
     def __init__(
@@ -61,14 +73,11 @@ class PICMagDataset:
         self._sim: PICMagSimulator | None = None
         self._cache_path: Path | None = None
         if cache:
-            c = self.config
-            key = (
-                f"picmag_g{c.grid}_p{c.particles}_s{c.seed}_w{c.wind}"
-                f"_d{c.dipole_strength}_b{c.base_load}_l{c.particle_load}"
-                f"_per{self.period}_max{self.max_iteration}.npz"
-            )
-            self._cache_path = default_cache_dir() / key
-            self._load_cache()
+            fields = dataclasses.asdict(self.config)
+            blob = json.dumps({"generator": GENERATOR_VERSION, "config": fields}, sort_keys=True)
+            key = hashlib.sha256(blob.encode()).hexdigest()
+            self._cache_path = default_cache_dir() / f"picmag-{key}"
+            self._load_records()
 
     # ------------------------------------------------------------------
     @property
@@ -138,26 +147,42 @@ class PICMagDataset:
         while sim.iteration <= iteration:
             it = sim.iteration
             if it % self.period == 0 and it not in self._snapshots:
-                self._snapshots[it] = sim.load_matrix()
+                self._snapshots[it] = A = sim.load_matrix()
+                if self._cache_path is not None:
+                    self._write_record(it, A)
             if it >= iteration:
                 break
             sim.step(min(self.period, iteration - it))
-        self._save_cache()
 
     # ------------------------------------------------------------------
-    def _load_cache(self) -> None:
-        p = self._cache_path
-        if p is None or not p.exists():
-            return
-        with np.load(p) as data:
-            for name in data.files:
-                self._snapshots[int(name)] = data[name]
+    def _load_records(self) -> None:
+        """Load this stream's records; drop any that fail to load (healed on demand)."""
+        assert self._cache_path is not None
+        shape = (self.config.grid, self.config.grid)
+        for it in self.iterations:
+            path = self._cache_path / f"{it}.npz"
+            if not path.exists():
+                continue
+            try:
+                with np.load(path) as rec:
+                    A = rec["load"]
+                ok = A.shape == shape and A.dtype == np.int64
+            except Exception:  # truncated, garbage, ...: recomputed and rewritten
+                ok = False
+            if ok:
+                self._snapshots[it] = A
+            else:
+                path.unlink(missing_ok=True)
 
-    def _save_cache(self) -> None:
-        p = self._cache_path
-        if p is None:
-            return
-        p.parent.mkdir(parents=True, exist_ok=True)
-        tmp = p.with_suffix(".tmp.npz")
-        np.savez_compressed(tmp, **{str(k): v for k, v in self._snapshots.items()})
-        tmp.replace(p)
+    def _write_record(self, iteration: int, A: np.ndarray) -> None:
+        """Atomically write one snapshot record (mkstemp + ``os.replace``)."""
+        assert self._cache_path is not None
+        self._cache_path.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=self._cache_path, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez_compressed(fh, load=A)
+            os.replace(tmp, self._cache_path / f"{iteration}.npz")
+        except BaseException:
+            os.unlink(tmp)
+            raise

@@ -35,8 +35,12 @@ def gyro_frequency(
     """
     dx = x - center[0]
     dy = y - center[1]
-    r3 = (dx * dx + dy * dy) ** 1.5
-    return strength / (r3 + softening**3)
+    dx *= dx
+    dy *= dy
+    dx += dy  # r² = dx² + dy², in place: each temporary is a fresh allocation
+    r3 = np.power(dx, 1.5, out=dx)
+    r3 += softening**3
+    return np.divide(strength, r3, out=r3)
 
 
 class DipoleField:
@@ -50,6 +54,15 @@ class DipoleField:
         """Gyrofrequency at particle positions."""
         return gyro_frequency(x, y, self.center, self.strength)
 
-    def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Distance to the dipole center."""
-        return np.hypot(x - self.center[0], y - self.center[1])
+    def within(self, x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
+        """Mask of ``np.hypot(dx, dy) < radius``, ``(dx, dy)`` the offset to the center.
+
+        ``hypot`` runs only on the candidates of a squared-distance prefilter
+        whose bound, ``radius²`` widened by a relative 1e-6, dwarfs the
+        few-ulp rounding of either side: the mask is bit-for-bit the plain test's.
+        """
+        dx, dy = x - self.center[0], y - self.center[1]
+        near = np.flatnonzero(dx * dx + dy * dy < (radius * (1.0 + 1e-6)) ** 2)
+        mask = np.zeros(len(dx), dtype=bool)
+        mask[near] = np.hypot(dx[near], dy[near]) < radius
+        return mask

@@ -107,21 +107,20 @@ class PICMagSimulator:
             # the cap keeps near-dipole orbits resolvable at this step size
             w = np.minimum(self.field.omega(self.x, self.y), c.max_rotation)
             cw, sw = np.cos(w), np.sin(w)
-            vx = cw * self.vx - sw * self.vy
-            vy = sw * self.vx + cw * self.vy
+            vx = cw * self.vx
+            vx -= sw * self.vy
+            # vy ← sw·vx + cw·vy, in place (IEEE addition commutes exactly)
+            self.vy *= cw
+            self.vy += sw * self.vx
             # thermal diffusion + drift restoring the wind
             vx += 0.02 * (c.wind - vx)
-            self.vx = vx + self.rng.normal(0, c.thermal * 0.05, len(vx))
-            self.vy = vy + self.rng.normal(0, c.thermal * 0.05, len(vy))
+            vx += self.rng.normal(0, c.thermal * 0.05, len(vx))
+            self.vx = vx
+            self.vy += self.rng.normal(0, c.thermal * 0.05, len(vx))
             self.x += self.vx
             self.y += self.vy
-            out = (
-                (self.x < 0.0)
-                | (self.x >= 1.0)
-                | (self.y < 0.0)
-                | (self.y >= 1.0)
-                | (self.field.distance(self.x, self.y) < c.absorb_radius)
-            )
+            out = self.field.within(self.x, self.y, c.absorb_radius)
+            out |= (self.x < 0.0) | (self.x >= 1.0) | (self.y < 0.0) | (self.y >= 1.0)
             self._recycle(out)
         self.iteration += iterations
 

@@ -154,6 +154,15 @@ class TestCli:
         assert "demo" in out
         assert (tmp_path / "fig05.csv").exists()
 
+    def test_scale_choices_from_registry(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            "repro.experiments.cli.ALL_RUNNABLE",
+            {"fig05": lambda sc: seen.append(sc.name) or _tiny_fig()},
+        )
+        assert main(["--figures", "fig05", "--scale", "large"]) == 0
+        assert seen == ["large"]
+
 
 def _tiny_fig():
     r = FigureResult("fig05", "demo", "m", "y")

@@ -1,5 +1,8 @@
 """Tests for the evaluation instances: synthetic, PIC-MAG, SLAC (§4.1)."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.instances import (
     uniform,
 )
 from repro.instances.mesh import CavityConfig, cavity_vertices, project_vertices
+from repro.instances.pic import DipoleField
 from repro.instances.pic.simulator import _box_smooth
 
 
@@ -136,6 +140,68 @@ class TestPICSimulator:
         assert _box_smooth(H, 0) is H
 
 
+class TestPICGeneratorPinned:
+    """The generator's output, pinned bit for bit.
+
+    The digests are SHA-256 over the int64 bytes of ``load_matrix()``,
+    recorded before the substep was rewritten in place with a prefiltered
+    absorption test.  A change that moves any of them is a new generator
+    and must bump ``GENERATOR_VERSION``.
+    """
+
+    PINNED = [
+        (
+            PICConfig(grid=32, particles=2000, seed=11),
+            {
+                0: "b45df9511449053d9f106461484c94365a764d0ea2a965be929a0a7aea80c64a",
+                25: "39c1fb79e8eb724d9402e31038fa4253fa03bb9b0c7862fb7b9c927446f6d6a7",
+                50: "a1b2627dd18f49dbf35cec37288d3d7f281f27c866ffc5e401ea69f72c94df48",
+                100: "5c85f3ea90833dac551bd5bfdb7ef8b4b89c0fbd95ca96d75583ad190044f8d8",
+                200: "7ee6a8b3dff86188d5129551a3a9c8ff90b38b7bf69e1ab38b5522254aa2aade",
+            },
+        ),
+        (
+            PICConfig(grid=32, particles=2000, seed=5, substeps=2, absorb_radius=0.1),
+            {
+                0: "5a190a3279f1952ac955ad09faf0cba920ddb9fa038b5f2e38133f5210c052ad",
+                40: "ee24770219170bbcfa5fde529d26660c84d2c082e375f00bb9b28f5a03a2efa6",
+                120: "df789025e14f2b80d12e5462906cad76416608859d441777796f1492c8357c04",
+            },
+        ),
+    ]
+
+    @pytest.mark.parametrize("config, digests", PINNED)
+    def test_load_matrix_digests(self, config, digests):
+        sim = PICMagSimulator(config)
+        for it, want in digests.items():
+            sim.step(it - sim.iteration)
+            A = np.ascontiguousarray(sim.load_matrix(), dtype=np.int64)
+            assert hashlib.sha256(A.tobytes()).hexdigest() == want, it
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.62, 0.5)])
+    def test_within_matches_hypot_at_radius(self, center):
+        """Points on, and ulps either side of, the radius: prefilter == hypot."""
+        R = PICConfig().absorb_radius
+        cx, cy = center
+        theta = np.linspace(0.0, 2 * np.pi, 97)
+        xs, ys = [], []
+        for bx, by in zip(cx + R * np.cos(theta), cy + R * np.sin(theta)):
+            for kx in range(-3, 4):
+                for ky in range(-3, 4):
+                    xs.append(bx + kx * np.spacing(bx))
+                    ys.append(by + ky * np.spacing(by))
+        # on the x axis of a center at the origin the distance is |x| exactly
+        on_axis = [np.nextafter(R, 0.0), R, np.nextafter(R, 1.0)]
+        x = np.array(xs + [cx + r for r in on_axis])
+        y = np.array(ys + [cy] * 3)
+        field = DipoleField(center)
+        plain = np.hypot(x - cx, y - cy) < R
+        assert plain.any() and not plain.all()
+        np.testing.assert_array_equal(field.within(x, y, R), plain)
+        if center == (0.0, 0.0):
+            assert field.within(x[-3:], y[-3:], R).tolist() == [True, False, False]
+
+
 class TestPICDataset:
     CFG = PICConfig(grid=32, particles=2000, seed=11)
 
@@ -176,6 +242,55 @@ class TestPICDataset:
     def test_period_validation(self):
         with pytest.raises(ParameterError):
             PICMagDataset(self.CFG, period=0, cache=False)
+
+    def test_one_record_per_snapshot(self):
+        ds = PICMagDataset(self.CFG, period=100, max_iteration=300)
+        ds.snapshot(200)
+        assert sorted(p.name for p in ds._cache_path.iterdir()) == ["0.npz", "100.npz", "200.npz"]
+
+    def test_records_shared_across_cadences(self):
+        PICMagDataset(self.CFG, period=100, max_iteration=200).snapshot(200)
+        ds = PICMagDataset(self.CFG, period=200, max_iteration=400)
+        assert sorted(ds._snapshots) == [0, 200]
+
+    def test_cache_key_covers_every_field(self):
+        base = PICMagDataset(self.CFG, period=100, max_iteration=0)._cache_path
+        for f in dataclasses.fields(PICConfig):
+            v = getattr(self.CFG, f.name)
+            changed = (v[0] + 0.01, v[1]) if isinstance(v, tuple) else v + 1
+            cfg = dataclasses.replace(self.CFG, **{f.name: changed})
+            assert PICMagDataset(cfg, period=100, max_iteration=0)._cache_path != base, f.name
+
+    @pytest.mark.parametrize("field, value", [("smooth", 1), ("thermal", 0.003)])
+    def test_cache_key_separates_configs(self, field, value):
+        """Configs differing only in ``field`` never share snapshots."""
+        first = PICMagDataset(self.CFG, period=100, max_iteration=200).snapshot(200)
+        cfg = dataclasses.replace(self.CFG, **{field: value})
+        fresh = PICMagDataset(cfg, period=100, max_iteration=200, cache=False).snapshot(200)
+        assert not np.array_equal(fresh, first)
+        np.testing.assert_array_equal(
+            PICMagDataset(cfg, period=100, max_iteration=200).snapshot(200), fresh
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+            lambda p: p.write_bytes(b"garbage{" * 64),
+            lambda p: np.savez_compressed(p, load=np.zeros((3, 3), dtype=np.int64)),
+        ],
+        ids=["truncated", "garbage", "wrong-shape"],
+    )
+    def test_corrupt_record_heals(self, corrupt):
+        a = PICMagDataset(self.CFG, period=100, max_iteration=200).snapshot(200)
+        ds = PICMagDataset(self.CFG, period=100, max_iteration=200)
+        record = ds._cache_path / "200.npz"
+        corrupt(record)
+        ds = PICMagDataset(self.CFG, period=100, max_iteration=200)
+        assert 200 not in ds._snapshots and 100 in ds._snapshots
+        np.testing.assert_array_equal(ds.snapshot(200), a)
+        with np.load(record) as rec:
+            np.testing.assert_array_equal(rec["load"], a)
 
 
 class TestCavityGraph:
