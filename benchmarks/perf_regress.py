@@ -49,9 +49,10 @@ counter below cold while the rectangles stay bit-identical).  Run via
 :data:`repro.perf.kernels.KERNELS` is timed once per backend (``reference``
 vs ``numpy`` vs — when the ``[perf]`` extra is installed — ``numba``) on
 fixed seeded inputs, results are asserted bit-identical across backends,
-and ``BENCH_kernels.json`` is written.  ``--min-speedup`` here requires at
-least three kernels to reach the threshold on the numpy backend.  Run via
-``make bench-kernels`` / ``make bench-kernels-smoke``.
+one whole-solver row (RECT-NICOL, m = 256, 512²) is timed with the perf
+layer off vs on, and ``BENCH_kernels.json`` is written.  ``--min-speedup``
+here requires at least three kernels to reach the threshold on the numpy
+backend.  Run via ``make bench-kernels`` / ``make bench-kernels-smoke``.
 
 ``--figures`` runs the *figure-farm* family instead: a fast subset of the
 experiment suite is regenerated three ways against the raw-result store
@@ -121,6 +122,19 @@ from repro.jagged.hetero import jag_hetero  # noqa: E402
 from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks  # noqa: E402
 from repro.oned.probe import min_parts  # noqa: E402
 from repro.perf import min_parts_batch, perf_enabled, use_perf  # noqa: E402
+
+
+def _env_header(generated_by: str, profile: str) -> dict[str, Any]:
+    """The environment header every ``BENCH_*.json`` family starts with."""
+    return {
+        "schema": 1,
+        "generated_by": generated_by,
+        "profile": profile,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count() or 1,
+    }
 
 
 @dataclass
@@ -340,6 +354,8 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
     M = np.cumsum(rng.integers(0, 100, (S, n_multi)), axis=1)
     M = np.concatenate([np.zeros((S, 1), dtype=np.int64), M], axis=1).astype(np.int64)
     B_multi = int(M[:, -1].max()) // 12
+    # one lockstep round's candidates, spread over a bracket around B_multi
+    Bs_multi = [int(b) for b in np.linspace(B_multi // 4, 3 * B_multi, 16)]
 
     P_alloc = 96
     m_alloc = 2_048
@@ -389,6 +405,26 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
             lambda: [K.probe_multi(M, mm, B_multi) for mm in (4, 8, 16, 32)],
             key=lambda out: out,
         ),
+        KernelBench(
+            "probe_multi_batch",
+            lambda: [K.probe_multi_batch(M, mm, Bs_multi) for mm in (4, 8, 16, 32)],
+            key=lambda out: [o.tolist() for o in out],
+        ),
+    ]
+
+
+def _solver_benches() -> list[Bench]:
+    """Whole-solver rows of the kernel family: perf layer off vs on.
+
+    RECT-NICOL at m = 256 (a 16×16 grid) on a 512² instance is the striped
+    1D solver's heaviest regular caller: every refinement runs the lockstep
+    candidate search over 16 stripes.  Same size in every profile — the
+    lockstep path needs at least 8 stripes and a realistic bracket width.
+    """
+    return [
+        _partition_bench(
+            "RECT-NICOL/m=256/peak512", "solver", peak(512, seed=3), 256, "RECT-NICOL", 3
+        )
     ]
 
 
@@ -464,15 +500,32 @@ def run_kernels(profile: str, out_path: Path, min_speedup: float | None) -> int:
         rows.append(row)
         print(f"{msg}  {'ok' if identical else 'MISMATCH'}")
 
+    solver_rows = []
+    for sbench in _solver_benches():
+        before, after, ref, opt = _time_pair(sbench)
+        identical = sbench.key(ref) == sbench.key(opt)
+        if not identical:
+            failures.append(sbench.name)
+        speedup = before / after if after > 0 else float("inf")
+        solver_rows.append(
+            {
+                "name": sbench.name,
+                "reference_s": round(before, 6),
+                "perf_s": round(after, 6),
+                "speedup": round(speedup, 3),
+                "identical": identical,
+            }
+        )
+        print(
+            f"{sbench.name:24s} ref {before * 1e3:9.3f}ms  perf  {after * 1e3:9.3f}ms "
+            f"({speedup:6.2f}x)  {'ok' if identical else 'MISMATCH'}"
+        )
+
     doc = {
-        "schema": 1,
-        "generated_by": "benchmarks/perf_regress.py --kernels",
-        "profile": profile,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **_env_header("benchmarks/perf_regress.py --kernels", profile),
         "numba_available": has_numba,
         "benches": rows,
+        "solvers": solver_rows,
         "all_identical": not failures,
     }
     out_path.write_text(json.dumps(doc, indent=2) + "\n")
@@ -665,13 +718,7 @@ def run_parallel(profile: str, out_path: Path) -> int:
             os.environ["REPRO_PARALLEL_MIN_CELLS"] = prev_min_cells
 
     doc = {
-        "schema": 1,
-        "generated_by": "benchmarks/perf_regress.py --parallel",
-        "profile": profile,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpu_count": cpu_count,
+        **_env_header("benchmarks/perf_regress.py --parallel", profile),
         "workers_swept": list(PARALLEL_WORKERS),
         "benches": rows,
         "all_identical": not failures,
@@ -877,12 +924,7 @@ def run_sweep(profile: str, out_path: Path, min_speedup: float | None) -> int:
             )
 
     doc = {
-        "schema": 1,
-        "generated_by": "benchmarks/perf_regress.py --sweep",
-        "profile": profile,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **_env_header("benchmarks/perf_regress.py --sweep", profile),
         "benches": rows,
         "families": families,
         "store_families": store_families,
@@ -1026,12 +1068,7 @@ def run_figures(profile: str, out_path: Path, min_speedup: float | None) -> int:
 
     agg_speedup = cold_total / warm_total if warm_total > 0 else float("inf")
     doc = {
-        "schema": 1,
-        "generated_by": "benchmarks/perf_regress.py --figures",
-        "profile": profile,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **_env_header("benchmarks/perf_regress.py --figures", profile),
         "benches": rows,
         "families": {
             "figures": {
@@ -1286,12 +1323,7 @@ def run_sparse(profile: str, out_path: Path) -> int:
         )
 
     doc = {
-        "schema": 1,
-        "generated_by": "benchmarks/perf_regress.py --sparse",
-        "profile": profile,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **_env_header("benchmarks/perf_regress.py --sparse", profile),
         "substrates": sub_rows,
         "solvers": solver_rows,
         "raw_store_cell": large_cell,
@@ -1484,12 +1516,7 @@ def run_dynamic(profile: str, out_path: Path) -> int:
         )
 
     doc = {
-        "schema": 1,
-        "generated_by": "benchmarks/perf_regress.py --dynamic",
-        "profile": profile,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **_env_header("benchmarks/perf_regress.py --dynamic", profile),
         "policies": policy_rows,
         "warm": warm_doc,
         "all_identical": not failures,
@@ -1578,12 +1605,7 @@ def run(profile: str, out_path: Path, min_speedup: float | None) -> int:
         print(f"-- {fam:15s} aggregate {b * 1e3:9.2f}ms -> {a * 1e3:9.2f}ms  {b / a:6.2f}x")
 
     doc = {
-        "schema": 1,
-        "generated_by": "benchmarks/perf_regress.py",
-        "profile": profile,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **_env_header("benchmarks/perf_regress.py", profile),
         "benches": rows,
         "families": families,
         "all_identical": not failures,

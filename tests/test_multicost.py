@@ -3,11 +3,13 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.oned.multicost import multi_bottleneck, multi_cuts, partition_multi, probe_multi
+from repro.perf import op_counters, use_perf
 
 stripe_loads = hnp.arrays(
     dtype=np.int64,
@@ -75,3 +77,53 @@ class TestMultiBottleneck:
     def test_degenerate_empty(self):
         M = np.zeros((2, 1), dtype=np.int64)
         assert multi_bottleneck(M, 3) == 0
+
+
+class TestLockstepSearch:
+    """Perf-on ``multi_bottleneck`` (lockstep rounds from 8 stripes up) must
+    return the perf-off bisection's optimum for every hint."""
+
+    @staticmethod
+    def both_modes(M, m, ub=None):
+        with use_perf(False):
+            ref = multi_bottleneck(M, m, ub=ub)
+        with use_perf(True):
+            got = multi_bottleneck(M, m, ub=ub)
+        return ref, got
+
+    @given(
+        hnp.arrays(
+            dtype=np.int64,
+            shape=st.tuples(st.sampled_from([2, 7, 8, 9]), st.integers(1, 7)),
+            elements=st.integers(0, 30),
+        ),
+        st.integers(1, 4),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bruteforce_with_hints(self, A, m, shift):
+        M = stack_prefix(A)
+        opt = brute(M, m)
+        for ub in (None, opt, opt + shift, opt + 1, max(opt - 1, 0)):
+            ref, got = self.both_modes(M, m, ub)
+            assert ref == got == opt, (ub, ref, got, opt)
+
+    @pytest.mark.parametrize("S", [4, 7, 8, 16, 24])
+    def test_perf_on_equals_perf_off_around_crossover(self, S):
+        rng = np.random.default_rng(S)
+        M = stack_prefix(rng.integers(0, 10_000, (S, 300)))
+        for m in (1, 5, 16, 299, 400):
+            opt, _ = self.both_modes(M, m)
+            for ub in (None, 0, opt // 2, opt - 1, opt, opt + 1, opt + 12_345, 50 * opt):
+                ref, got = self.both_modes(M, m, ub)
+                assert ref == got == opt, (S, m, ub)
+
+    def test_loads_near_overflow_fall_back(self):
+        # S·(span+1) exceeds int64: scalar bisection, same optimum
+        rng = np.random.default_rng(62)
+        M = stack_prefix(rng.integers(2**58, 2**59, (8, 12)))
+        with use_perf(True), op_counters() as ops:
+            got = multi_bottleneck(M, 4, ub=int(M[:, -1].max()))
+        assert ops["lockstep_rounds"] == 0
+        with use_perf(False):
+            assert got == multi_bottleneck(M, 4)
