@@ -354,8 +354,6 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
     M = np.cumsum(rng.integers(0, 100, (S, n_multi)), axis=1)
     M = np.concatenate([np.zeros((S, 1), dtype=np.int64), M], axis=1).astype(np.int64)
     B_multi = int(M[:, -1].max()) // 12
-    # one lockstep round's candidates, spread over a bracket around B_multi
-    Bs_multi = [int(b) for b in np.linspace(B_multi // 4, 3 * B_multi, 16)]
 
     P_alloc = 96
     m_alloc = 2_048
@@ -405,11 +403,6 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
             lambda: [K.probe_multi(M, mm, B_multi) for mm in (4, 8, 16, 32)],
             key=lambda out: out,
         ),
-        KernelBench(
-            "probe_multi_batch",
-            lambda: [K.probe_multi_batch(M, mm, Bs_multi) for mm in (4, 8, 16, 32)],
-            key=lambda out: [o.tolist() for o in out],
-        ),
     ]
 
 
@@ -417,9 +410,9 @@ def _solver_benches() -> list[Bench]:
     """Whole-solver rows of the kernel family: perf layer off vs on.
 
     RECT-NICOL at m = 256 (a 16×16 grid) on a 512² instance is the striped
-    1D solver's heaviest regular caller: every refinement runs the lockstep
-    candidate search over 16 stripes.  Same size in every profile — the
-    lockstep path needs at least 8 stripes and a realistic bracket width.
+    1D solver's heaviest regular caller: every refinement bisects a ~2²⁴
+    bracket over 16 stripes, from the incumbent's hint when the perf layer
+    is on.  Same size in every profile, so the bracket width is realistic.
     """
     return [
         _partition_bench(

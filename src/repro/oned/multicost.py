@@ -19,8 +19,10 @@ With the perf layer enabled, :func:`probe_multi` dispatches to the
 ``probe_multi`` kernel (:mod:`repro.perf.kernels`): per-stripe jump tables
 folded with a running min in the dense-cut regime, a compiled twin under
 ``REPRO_PERF_BACKEND=numba`` — bit-identical to the registry's scalar
-reference, which the perf-off path runs.  :func:`multi_bottleneck` then
-probes the int64 matrix directly, K candidates per round from 8 stripes up.
+reference, which the perf-off path runs.  :func:`multi_bottleneck` always
+bisects with that reference on rows converted once per solve: C-level
+``bisect_right`` on lists beats ndarray probes on every measured RECT-NICOL
+class (docs/performance.md, "Striped search").
 """
 
 from __future__ import annotations
@@ -35,13 +37,6 @@ from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump
 
 __all__ = ["probe_multi", "multi_bottleneck", "partition_multi", "multi_cuts"]
-
-#: candidates per lockstep round and fewest stripes for lockstep, measured on
-#: one perfbench solve_mix cycle's RECT-NICOL solves (2-CPU x86_64, numpy 2.4):
-#: K = 24 beat 16 by ~10%, K > 32 no faster; lockstep vs scalar bisection ran
-#: 1.2x (512²) but 0.8x (4096² CSR) at S = 4, 2.1x / 1.1x at S = 8, 3.9x at 16
-_LOCKSTEP_K = 24
-_LOCKSTEP_MIN_STRIPES = 8
 
 
 def _rows(M) -> list[list[int]]:
@@ -64,8 +59,6 @@ def _reach(rows: list[list[int]], n: int, i: int, B: int) -> int:
 
 def probe_multi(M, m: int, B: int) -> bool:
     """Can ``[0, n)`` be cut into ``<= m`` intervals of striped cost ``<= B``?"""
-    if _OPS:
-        bump("multi_probe_calls")
     if perf_enabled():
         return _kernels.probe_multi(M, m, B)
     return _kernels.KERNELS["probe_multi"].reference(_rows(M), m, B)
@@ -92,15 +85,20 @@ def multi_cuts(M, m: int, B: int) -> np.ndarray | None:
 
 
 def multi_bottleneck(M, m: int, *, ub: int | None = None) -> int:
-    """Optimal striped bottleneck by integer search with the multi-probe.
+    """Optimal striped bottleneck by integer bisection with the multi-probe.
 
     ``ub`` is an optional starting guess for the feasible end of the
     bracket (e.g. a bottleneck some known partition achieves).  The guess
-    is *verified* by the doubling loop before the search starts, so a
+    is *verified* by the doubling loop before the bisection starts, so a
     wrong hint only costs extra probes — the returned optimum is identical
     for any hint.
     """
     M = np.ascontiguousarray(M, dtype=np.int64)
+    return _bottleneck(M, _rows(M), m, ub)
+
+
+def _bottleneck(M: np.ndarray, rows: list[list[int]], m: int, ub: int | None) -> int:
+    """:func:`multi_bottleneck` on ``M`` and its per-stripe lists ``rows``."""
     n = M.shape[1] - 1
     if n == 0 or M.shape[0] == 0:
         return 0
@@ -109,56 +107,25 @@ def multi_bottleneck(M, m: int, *, ub: int | None = None) -> int:
     max_step = int(cell.max(axis=0).max()) if cell.size else 0
     heaviest = int(M[:, -1].max())
     lb = max(max_step, -(-heaviest // m))
-    fast = perf_enabled()
-    # the kernel path probes the stacked int64 matrix in place (no per-call
-    # list conversion); the reference path converts to lists once up front
-    MM = M if fast else _rows(M)
-    hinted = ub is not None
+    probe = _kernels.KERNELS["probe_multi"].reference
     # The single-array DirectCut bound does not transfer to striped costs
     # (different intervals may be bottlenecked by different stripes), so
     # bracket the optimum by doubling from the heaviest-stripe bound (or
     # the caller's hint when given).
     ub = max(lb, heaviest // m + max_step) if ub is None else max(lb, int(ub))
-    while not probe_multi(MM, m, ub):
+    probes = 1
+    while not probe(rows, m, ub):
         ub = max(ub * 2, ub + 1)
-    # lockstep needs enough stripes, a flattened stack within int64, and a
-    # scalar probe other than the compiled twin (that pairing is unmeasured)
-    k = _kernels.KERNELS["probe_multi"]
-    compiled = _kernels.kernel("probe_multi") not in (k.reference, k.numpy)
-    S = M.shape[0]
-    if fast and S >= _LOCKSTEP_MIN_STRIPES and S * (heaviest + 1) < 2**63 and not compiled:
-        return _lockstep_search(M, m, lb, ub, geometric=hinted)
+        probes += 1
     while lb < ub:
         mid = (lb + ub) // 2
-        if probe_multi(MM, m, mid):
+        if probe(rows, m, mid):
             ub = mid
         else:
             lb = mid + 1
-    return int(lb)
-
-
-def _lockstep_search(M: np.ndarray, m: int, lb: int, ub: int, *, geometric: bool) -> int:
-    """Shrink the verified bracket ``[lb, ub]`` with K candidates per round.
-
-    A hinted search first tests ``ub-1, ub-2, ub-4, …`` (the optimum often
-    sits at or just below the incumbent); later rounds space K candidates
-    evenly, so ``ub - lb`` drops to at most ``(ub - lb) // (K+1)`` per
-    round.  Feasibility is monotone in B: the result is bisection's.
-    """
-    while lb < ub:
-        if geometric:
-            cands = sorted({max(lb, ub - (1 << i)) for i in range(_LOCKSTEP_K)})
-            geometric = False
-        else:
-            u, k1 = ub - lb, _LOCKSTEP_K + 1
-            cands = sorted({lb + u * i // k1 for i in range(1, k1)})
-        if _OPS:
-            bump("lockstep_rounds")
-        for c, ok in zip(cands, _kernels.probe_multi_batch(M, m, cands).tolist()):
-            if ok:
-                ub = c
-                break
-            lb = c + 1
+        probes += 1
+    if _OPS:
+        bump("multi_probe_calls", probes)
     return int(lb)
 
 
@@ -170,7 +137,7 @@ def partition_multi(M, m: int, *, ub: int | None = None) -> tuple[int, np.ndarra
     """
     M = np.ascontiguousarray(M, dtype=np.int64)
     rows = _rows(M)
-    B = multi_bottleneck(M, m, ub=ub)
+    B = _bottleneck(M, rows, m, ub)
     cuts = multi_cuts(rows, m, B)
     assert cuts is not None
     return B, cuts

@@ -26,8 +26,8 @@ Counter names used across the repo:
 ``probe_batch_calls`` / ``searchsorted_calls`` / ``searchsorted_items``
     Vectorized kernel invocations, chained ``np.searchsorted`` rounds, and
     total candidate items those rounds evaluated.
-``multi_probe_calls`` / ``lockstep_rounds``
-    Scalar probes and K-candidate rounds of RECT-NICOL's striped 1D search.
+``multi_probe_calls``
+    Probes of RECT-NICOL's striped 1D bisection (``multi_bottleneck``).
 ``cut_calls``
     Hierarchical cut-selection evaluations (weighted or relaxed).
 ``load_queries``

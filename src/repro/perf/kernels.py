@@ -70,7 +70,6 @@ __all__ = [
     "relaxed_split_scalar",
     "alloc_tail",
     "probe_multi",
-    "probe_multi_batch",
     "SCALAR_MAX_M",
 ]
 
@@ -809,62 +808,6 @@ def _probe_multi_numpy(M: Any, m: int, B: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# probe_multi_batch — many candidate bottlenecks against one stripe stack
-# ----------------------------------------------------------------------
-def _probe_multi_batch_reference(M: Any, m: int, Bs: Sequence[int]) -> np.ndarray:
-    """K independent scalar striped probes."""
-    rows = np.asarray(M, dtype=np.int64).tolist()
-    return np.array([_probe_multi_reference(rows, m, int(b)) for b in Bs], dtype=bool)
-
-
-def _probe_multi_batch_numpy(M: Any, m: int, Bs: Sequence[int]) -> np.ndarray:
-    """Lockstep striped probes: one ``searchsorted`` per greedy step.
-
-    Stripe ``s``, rebased to 0, is offset by ``s·(span+1)``: the flattened
-    stack is monotone and a target clamped to its stripe's end resolves
-    inside that stripe, so one search answers every (stripe, candidate)
-    pair of a step (docs/performance.md, "Striped lockstep search").
-    """
-    arr = np.ascontiguousarray(M, dtype=np.int64)
-    S = arr.shape[0]
-    n = arr.shape[1] - 1
-    ok = np.array([int(b) >= 0 for b in Bs], dtype=bool)
-    if S == 0 or n <= 0:
-        return ok  # nothing to cover: every non-negative candidate succeeds
-    totals = arr[:, n] - arr[:, 0]
-    span = int(totals.max())
-    if S * (span + 1) > _I64_MAX:  # offsets overflow: per-candidate probes
-        return np.array([_probe_multi_numpy(arr, m, int(b)) for b in Bs], dtype=bool)
-    offs = np.arange(S, dtype=np.int64)[:, None] * (span + 1)
-    flat = (arr + (offs - arr[:, :1])).ravel()  # (S, 1) shift first: one full pass
-    ends = totals[:, None] + offs
-    starts = np.arange(0, S * (n + 1), n + 1, dtype=np.int64)[:, None]
-    idx = np.flatnonzero(ok)
-    Ba = np.array([min(int(Bs[i]), span) for i in idx.tolist()], dtype=np.int64)
-    ok[:] = False
-    pos = np.zeros(idx.shape, dtype=np.int64)
-    for _ in range(m):
-        if idx.size == 0:
-            break
-        base = flat.take(starts + pos)  # (S, k): every stripe at every pos
-        t = ends - base
-        np.minimum(t, Ba, out=t)
-        t += base  # clamped target: stays inside its own stripe
-        reach = flat.searchsorted(t, side="right")
-        reach -= starts
-        nxt = reach.min(axis=0) - 1  # furthest boundary every stripe reaches
-        keep = nxt > pos  # not stuck on a single cell above B
-        keep &= nxt < n  # window not yet covered
-        if not keep.all():
-            ok[idx[nxt >= n]] = True  # covered (nxt >= n > pos: never stuck)
-            idx = idx[keep]
-            nxt = nxt[keep]
-            Ba = Ba[keep]
-        pos = nxt
-    return ok
-
-
-# ----------------------------------------------------------------------
 # registry + backend resolution
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -894,9 +837,6 @@ KERNELS: dict[str, Kernel] = {
     "alloc_tail": Kernel("alloc_tail", _alloc_tail_reference, _alloc_tail_numpy),
     "probe_multi": Kernel(
         "probe_multi", _probe_multi_reference, _probe_multi_numpy, "probe_multi"
-    ),
-    "probe_multi_batch": Kernel(
-        "probe_multi_batch", _probe_multi_batch_reference, _probe_multi_batch_numpy
     ),
 }
 
@@ -999,8 +939,3 @@ def alloc_tail(loads: np.ndarray, q: Sequence[int] | np.ndarray, m: int) -> np.n
 def probe_multi(M: Any, m: int, B: int) -> bool:
     """Striped-cost probe: can ``[0, n)`` be cut into ``<= m`` intervals ``<= B``?"""
     return kernel("probe_multi")(M, m, B)
-
-
-def probe_multi_batch(M: Any, m: int, Bs: Sequence[int]) -> np.ndarray:
-    """Vectorized ``probe_multi``: one boolean per candidate bottleneck in ``Bs``."""
-    return kernel("probe_multi_batch")(M, m, Bs)

@@ -8,12 +8,11 @@ load of the interval inside each stripe of the fixed dimension.  At each
 iteration, the partition of one dimension is refined."
 
 The striped 1D sub-problem is solved exactly by
-:func:`repro.oned.multicost.partition_multi`, whose feasibility probes route
-through the ``probe_multi`` registry kernel (:mod:`repro.perf.kernels`,
-selected by ``REPRO_PERF_BACKEND``) when the perf layer is on — so the
-refinement's inner loop shares the batched/compiled probe implementations
-with the rest of the tree while staying bit-identical to the scalar
-reference.  Iteration stops when the grid bottleneck stops improving (the
+:func:`repro.oned.multicost.partition_multi`, which bisects with the scalar
+``probe_multi`` reference on per-stripe Python lists (faster here than the
+ndarray kernels).  With the perf layer on, each solve starts from the
+incumbent grid bottleneck as a verified hint; the result is the same.
+Iteration stops when the grid bottleneck stops improving (the
 paper observes 3–10 iterations in practice for a 514×514 matrix up to
 10 000 processors) or at ``max_iters``.
 """

@@ -7,9 +7,9 @@ rectangle-load queries — and these tests pin them against the paper's
 formulas on deterministic seeded instances:
 
 * Probe is ``O(m log n)``: at most ``m`` greedy steps per call (§2.2).
-* Exact 1D bisection opens ``O(log(UB - LB))`` probes (§2.2); RECT-NICOL's
-  striped optimum takes at most ``1 + ⌈log_{K+1}(UB - LB + 1)⌉`` lockstep
-  rounds of K candidates each.
+* Exact 1D bisection opens ``O(log(UB - LB))`` probes (§2.2); from a
+  feasible hint, RECT-NICOL's striped optimum takes at most
+  ``1 + ⌈log₂(UB - LB + 1)⌉`` probes.
 * JAG-M-HEUR is ``O(n + m log n)`` (§3.2.1): total probe steps stay within
   a fixed constant of ``n + m·log₂(n)``.
 * HIER-RB evaluates at most 2 cut searches per tree node with even splits,
@@ -232,11 +232,11 @@ def test_jag_m_opt_projection_cache_hits():
 
 
 # ---------------------------------------------------------------------------
-# RECT-NICOL's striped 1D optimum: lockstep rounds vs scalar bisection
+# RECT-NICOL's striped 1D optimum: hinted bisection
 
 
 def _striped(S: int, n: int, seed: int) -> tuple[np.ndarray, int, int]:
-    """Stacked stripe prefixes plus the bracket lower bound and a feasible hint."""
+    """Stacked stripe prefixes plus the largest cell and the heaviest stripe."""
     rng = np.random.default_rng(seed)
     A = rng.integers(0, 100_000, (S, n))
     M = np.zeros((S, n + 1), dtype=np.int64)
@@ -244,45 +244,20 @@ def _striped(S: int, n: int, seed: int) -> tuple[np.ndarray, int, int]:
     return M, int(A.max()), int(M[:, -1].max())
 
 
-@pytest.mark.parametrize("S,m", [(8, 6), (16, 16), (24, 40)])
-def test_multi_bottleneck_lockstep_rounds_logarithmic(S, m):
-    from repro.oned import multicost
+@pytest.mark.parametrize("S,m", [(1, 9), (4, 9), (8, 6), (16, 16), (40, 40)])
+def test_multi_bottleneck_probe_count_logarithmic(S, m):
     from repro.oned.multicost import multi_bottleneck
 
-    K = multicost._LOCKSTEP_K
     M, max_cell, heaviest = _striped(S, 400, S + m)
     lb = max(max_cell, -(-heaviest // m))
-    for ub in (heaviest, heaviest // 3, lb + 1):
-        with use_perf(False):
-            want = multi_bottleneck(M, m, ub=ub)
-        ub = max(ub, want)  # a feasible hint: verification costs no doubling
-        with use_perf(True), op_counters() as ops:
-            got = multi_bottleneck(M, m, ub=ub)
-        assert got == want
-        width = ub - lb + 1
-        # ⌈log_{K+1}(width)⌉ in exact integers
-        bound = 0
-        while (K + 1) ** bound < width:
-            bound += 1
-        assert 1 <= ops["lockstep_rounds"] <= 1 + bound, (ub, ops["lockstep_rounds"])
-        assert ops["multi_probe_calls"] == 1  # the scalar hint verification
-
-
-@pytest.mark.parametrize("S", [1, 4, 7])
-def test_multi_bottleneck_scalar_bisection_below_crossover(S):
-    from repro.oned import multicost
-    from repro.oned.multicost import multi_bottleneck
-
-    assert S < multicost._LOCKSTEP_MIN_STRIPES
-    m = 9
-    M, max_cell, heaviest = _striped(S, 300, S)
-    lb = max(max_cell, -(-heaviest // m))
-    ub = heaviest
-    with use_perf(False), op_counters() as ref:
-        want = multi_bottleneck(M, m, ub=ub)
-    with use_perf(True), op_counters() as opt:
-        got = multi_bottleneck(M, m, ub=ub)
-    assert got == want
-    assert opt["lockstep_rounds"] == ref["lockstep_rounds"] == 0
-    assert opt["multi_probe_calls"] == ref["multi_probe_calls"]
-    assert ref["multi_probe_calls"] <= 1 + math.ceil(math.log2(ub - lb + 1))
+    with use_perf(False):
+        opt = multi_bottleneck(M, m)
+    for ub in (heaviest, opt + (heaviest - opt) // 50, opt, lb):
+        ub = max(ub, opt)  # a feasible hint: verification costs no doubling
+        counts = []
+        for perf in (False, True):
+            with use_perf(perf), op_counters() as ops:
+                assert multi_bottleneck(M, m, ub=ub) == opt
+            counts.append(ops["multi_probe_calls"])
+        # one verification probe, then ⌈log₂(ub - lb + 1)⌉ bisection steps
+        assert counts[0] == counts[1] <= 1 + math.ceil(math.log2(ub - lb + 1)), (ub, counts)

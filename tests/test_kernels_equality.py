@@ -224,59 +224,6 @@ def test_probe_multi_matches_reference(case, backend):
 
 
 # ----------------------------------------------------------------------
-# probe_multi_batch — many candidates against one stripe stack, lockstep
-# ----------------------------------------------------------------------
-def _random_stack(S: int, n: int, hi: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    A = rng.integers(0, hi, (S, n)) * (rng.random((S, n)) < 0.7)
-    M = np.zeros((S, n + 1), dtype=np.int64)
-    np.cumsum(A, axis=1, out=M[:, 1:])
-    return M
-
-
-_MULTI_BATCH_CASES = {
-    **{f"multi{i}": M for i, M in enumerate(_MULTI_CASES)},
-    "S1": _random_stack(1, 13, 50, 1),
-    "S2": _random_stack(2, 17, 50, 2),
-    "S16": _random_stack(16, 40, 1_000, 3),
-    "S16_zero_runs": _random_stack(16, 25, 3, 4),
-    "n0": np.zeros((3, 1), dtype=np.int64),
-    "n1": _stack([4], [9], [0]),
-    "all_zero_S16": np.zeros((16, 9), dtype=np.int64),
-    # S·(span+1) exceeds int64: the kernel must fall back to scalar probes
-    "huge_S16": np.stack([_prefix([_HUGE - 7 - s, 13, s]) for s in range(16)]),
-    "huge_S2": _stack([_HUGE - 7, 13, 2**61 - 1], [5, _HUGE - 1, 7]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_MULTI_BATCH_CASES))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_probe_multi_batch_matches_reference(case, backend):
-    M = _MULTI_BATCH_CASES[case]
-    n = M.shape[1] - 1
-    total = int(M[:, -1].max()) if M.shape[0] else 0
-    # unsorted, with duplicates and negatives; every candidate decided alone
-    Bs = [total, -1, 0, total // 3, 1, total // 3, total + 9, -5, total // 2, 0]
-    Bs += [total // 7 + d for d in range(-2, 3)]
-    for m in (0, 1, 2, 3, n + 4):  # n + 4 > n: more intervals than cells
-        ref = kernel("probe_multi_batch", "reference")(M, m, Bs)
-        got = kernel("probe_multi_batch", backend)(M, m, Bs)
-        assert got.dtype == bool and got.shape == (len(Bs),)
-        assert ref.tolist() == got.tolist(), (case, backend, m)
-        single = [kernel("probe_multi", "reference")(M, m, b) for b in Bs]
-        assert ref.tolist() == single, (case, m)
-
-
-def test_probe_multi_batch_accepts_arrays_and_empty_candidate_sets():
-    M = _MULTI_BATCH_CASES["S16"]
-    Bs = np.array([5_000, 10, 90_000], dtype=np.int64)
-    for backend in ("reference",) + BACKENDS:
-        impl = kernel("probe_multi_batch", backend)
-        assert impl(M, 4, []).tolist() == []
-        assert impl(M, 4, Bs).tolist() == impl(M, 4, Bs.tolist()).tolist()
-
-
-# ----------------------------------------------------------------------
 # backend selection and degradation
 # ----------------------------------------------------------------------
 def test_registry_names_are_stable():
@@ -288,7 +235,6 @@ def test_registry_names_are_stable():
         "relaxed_split",
         "alloc_tail",
         "probe_multi",
-        "probe_multi_batch",
     }
     for k in KERNELS.values():
         assert callable(k.reference) and callable(k.numpy)

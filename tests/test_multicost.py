@@ -79,9 +79,9 @@ class TestMultiBottleneck:
         assert multi_bottleneck(M, 3) == 0
 
 
-class TestLockstepSearch:
-    """Perf-on ``multi_bottleneck`` (lockstep rounds from 8 stripes up) must
-    return the perf-off bisection's optimum for every hint."""
+class TestHintedSearch:
+    """Perf-on ``multi_bottleneck`` (RECT-NICOL passes the incumbent grid
+    bottleneck as ``ub``) must return the perf-off optimum for every hint."""
 
     @staticmethod
     def both_modes(M, m, ub=None):
@@ -108,8 +108,8 @@ class TestLockstepSearch:
             ref, got = self.both_modes(M, m, ub)
             assert ref == got == opt, (ub, ref, got, opt)
 
-    @pytest.mark.parametrize("S", [4, 7, 8, 16, 24])
-    def test_perf_on_equals_perf_off_around_crossover(self, S):
+    @pytest.mark.parametrize("S", [4, 8, 16, 40])
+    def test_perf_on_equals_perf_off_for_any_hint(self, S):
         rng = np.random.default_rng(S)
         M = stack_prefix(rng.integers(0, 10_000, (S, 300)))
         for m in (1, 5, 16, 299, 400):
@@ -118,12 +118,11 @@ class TestLockstepSearch:
                 ref, got = self.both_modes(M, m, ub)
                 assert ref == got == opt, (S, m, ub)
 
-    def test_loads_near_overflow_fall_back(self):
-        # S·(span+1) exceeds int64: scalar bisection, same optimum
+    def test_loads_near_int64_limit(self):
+        # probe targets row[i] + B exceed int64 here; the list walk's Python
+        # ints stay exact, so every hint still lands on the same optimum
         rng = np.random.default_rng(62)
         M = stack_prefix(rng.integers(2**58, 2**59, (8, 12)))
-        with use_perf(True), op_counters() as ops:
-            got = multi_bottleneck(M, 4, ub=int(M[:, -1].max()))
-        assert ops["lockstep_rounds"] == 0
-        with use_perf(False):
-            assert got == multi_bottleneck(M, 4)
+        opt = brute(M, 4)
+        for ub in (None, opt, int(M[:, -1].max()), 2**63 - 1):
+            assert self.both_modes(M, 4, ub) == (opt, opt)
