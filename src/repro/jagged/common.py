@@ -111,11 +111,22 @@ def build_jagged_partition(
 
 def oriented(
     fn: Callable[..., Partition],
+    *,
+    pruned: Callable[..., Partition | None] | None = None,
 ) -> Callable[..., Partition]:
     """Wrap a main-dimension-0 jagged algorithm with HOR/VER/BEST orientation.
 
     The wrapped function gains an ``orientation`` keyword (``"hor"``,
-    ``"ver"``, ``"best"``; default ``"best"`` as selected in §4.2).
+    ``"ver"``, ``"best"``; default ``"best"`` as selected in §4.2).  BEST
+    keeps the vertical partition only if its max load is *strictly* smaller
+    than the horizontal one's, so ties go to HOR.
+
+    ``pruned`` is given for exact solvers: ``fn`` with a ``below=`` keyword
+    that returns ``None`` when the optimum is ``>= below`` and the optimal
+    partition otherwise.  BEST then passes the horizontal optimum as
+    ``below`` to the vertical solve, which settles a losing vertical
+    orientation with one feasibility probe at ``below - 1`` instead of a
+    full search; the tie rule and the result are unchanged.
     """
 
     def run(A: MatrixLike, m: int, *args, orientation: str = "best", **kw) -> Partition:
@@ -132,14 +143,20 @@ def oriented(
             return out
         if o == "best":
             hor = fn(pref, m, *args, **kw)
-            prefT = pref.transpose()  # hoisted: Γᵀ is a full-matrix copy
-            vert = fn(prefT, m, *args, **kw)
-            if vert.max_load(prefT) < hor.max_load(pref):
-                out = vert.transpose().with_method(vert.method)
-                out.meta["orientation"] = "ver"
-                return out
             hor.meta["orientation"] = "hor"
-            return hor
+            below = hor.max_load(pref)
+            prefT = pref.transpose()  # hoisted: Γᵀ is a full-matrix copy
+            if pruned is not None:
+                vert = pruned(prefT, m, *args, below=below, **kw)
+            else:
+                vert = fn(prefT, m, *args, **kw)
+                if vert.max_load(prefT) >= below:
+                    vert = None
+            if vert is None:
+                return hor
+            out = vert.transpose().with_method(vert.method)
+            out.meta["orientation"] = "ver"
+            return out
         raise ParameterError(f"orientation must be hor/ver/best, got {orientation!r}")
 
     run.__name__ = getattr(fn, "__name__", "jagged")

@@ -17,8 +17,11 @@ DP: ``f(i) = min_k f(k) + parts(k, i, B)`` where ``parts`` is the greedy
 ``B``; the m-way jagged class places no constraint on the stripe count, so
 ``B`` is feasible iff ``f(n1) <= m``.  Candidate stripe starts are pruned
 with the load lower bound ``ceil(load/B)``, visited in ascending bound order
-so the scan stops after a handful of exact probes per row.  The two methods
-agree on every instance (property-tested).
+so the scan stops after a handful of exact probes per row.  Each bisection
+step is one DP pass; the -BEST variant settles the losing orientation with
+a single pass at the winner's optimum minus one (:func:`~.common.oriented`),
+and a winning second orientation bisects below that bound without computing
+its heuristic.  The two methods agree on every instance (property-tested).
 """
 
 from __future__ import annotations
@@ -226,10 +229,47 @@ def _shared_memo(pref: PrefixSum2D) -> dict | None:
     return {}
 
 
+def _probe(pref: PrefixSum2D, B: int, m: int, memo: dict | None) -> bool:
+    """Is bottleneck ``B`` feasible with ``m`` processors (``F(B) <= m``)?
+
+    ``F(B)``, the minimum processor count at bottleneck ``B``, is one
+    non-increasing staircase shared by every ``m``, so each probe's exact
+    result (or its proven "> m" lower bound) is recorded under
+    ``_PROBE_KEY`` and can answer probes of *later* bisections outright.
+    Within a single bisection the facts never decide — the window is always
+    the still-undecided gap — so a cold call's probe trajectory is
+    unchanged, and a decided probe returns exactly what the DP would have
+    computed.
+    """
+    entries = memo.get(_PROBE_KEY) if memo is not None else None
+    if entries is not None:
+        flo, fhi = _memo_bounds(entries, B)
+        if fhi is not None and fhi <= m:
+            return True
+        if flo > m:
+            return False
+    f = _min_processors(pref, B, m, memo)
+    if memo is not None:
+        rec = (B, int(f[pref.n1]), True) if f is not None else (B, m + 1, False)
+        _memo_record(memo, _PROBE_KEY, entries, rec)
+    return f is not None
+
+
 def jag_m_opt_bottleneck(
-    pref: PrefixSum2D, m: int, *, ub: int | None = None, memo: dict | None = None
-) -> int:
+    pref: PrefixSum2D,
+    m: int,
+    *,
+    ub: int | None = None,
+    memo: dict | None = None,
+    below: int | None = None,
+) -> int | None:
     """Optimal m-way jagged bottleneck (main dimension 0) by exact bisection.
+
+    With ``below``, returns ``None`` iff the optimum is ``>= below``: one
+    feasibility probe at ``below - 1`` decides that, and otherwise the
+    bisection runs in ``[lb, below - 1]`` without the internal heuristic
+    upper bound.  The -BEST wrapper uses this to settle the losing
+    orientation; a ``None`` result records nothing in a sweep.
 
     Under an active :mod:`repro.sweep` context the bisection window is
     tightened from bounds proved by earlier calls on the same prefix
@@ -247,11 +287,23 @@ def jag_m_opt_bottleneck(
     if state is not None:
         exact, wlb, wub = state.mono_bounds(pref, "jag_m", m)
         if exact is not None:
-            return exact
+            return None if below is not None and exact >= below else exact
     lb = max(-(-pref.total // m), pref.max_element())
     if wlb is not None and wlb > lb:
         lb = wlb
-    if ub is None:
+    if memo is None:
+        memo = _shared_memo(pref)
+    if below is not None:
+        if lb >= below:
+            return None
+        if ub is None or ub >= below:
+            if wub is not None and wub < below:
+                ub = wub
+            elif _probe(pref, below - 1, m, memo):
+                ub = below - 1
+            else:
+                return None
+    elif ub is None:
         if state is not None and state.mono_witness(pref, "jag_m", m) is not None:
             # a same-m witness is exactly what the internal heuristic would
             # prove (or tighter); any valid ub leaves the bisection result
@@ -264,33 +316,9 @@ def jag_m_opt_bottleneck(
     ub = max(lb, int(ub))
     if wub is not None and wub < ub:
         ub = max(lb, wub)
-    if memo is None:
-        memo = _shared_memo(pref)
-    # F(B) = minimum processors at bottleneck B is one non-increasing
-    # staircase shared by every m, so each probe's exact result (or its
-    # proven "> m_cap" lower bound) is recorded under _PROBE_KEY and can
-    # answer probes of *later* bisections outright.  Within a single
-    # bisection the facts never decide — the window is always the still-
-    # undecided gap — so a cold call's probe trajectory is unchanged, and
-    # a decided probe returns exactly what the DP would have computed,
-    # keeping the converged optimum bit-identical.
     while lb < ub:
         mid = (lb + ub) // 2
-        feasible: bool | None = None
-        entries = memo.get(_PROBE_KEY) if memo is not None else None
-        if entries is not None:
-            flo, fhi = _memo_bounds(entries, mid)
-            if fhi is not None and fhi <= m:
-                feasible = True
-            elif flo > m:
-                feasible = False
-        if feasible is None:
-            f = _min_processors(pref, mid, m, memo)
-            feasible = f is not None
-            if memo is not None:
-                rec = (mid, int(f[pref.n1]), True) if f is not None else (mid, m + 1, False)
-                _memo_record(memo, _PROBE_KEY, entries, rec)
-        if feasible:
+        if _probe(pref, mid, m, memo):
             ub = mid
         else:
             lb = mid + 1
@@ -362,8 +390,17 @@ def _backtrack_stripes(
 
 def _jag_m_opt_main0(pref: PrefixSum2D, m: int) -> Partition:
     """Optimal m-way jagged partition (§3.2.2) on main dimension 0."""
+    part = _jag_m_opt_pruned(pref, m, below=None)
+    assert part is not None
+    return part
+
+
+def _jag_m_opt_pruned(pref: PrefixSum2D, m: int, *, below: int | None) -> Partition | None:
+    """:func:`_jag_m_opt_main0`, or ``None`` when the optimum is ``>= below``."""
     memo = _shared_memo(pref)
-    B = jag_m_opt_bottleneck(pref, m, memo=memo)
+    B = jag_m_opt_bottleneck(pref, m, memo=memo, below=below)
+    if B is None:
+        return None
     stripe_cuts = _backtrack_stripes(pref, B, m, memo)
     P = len(stripe_cuts) - 1
     # minimum per-stripe processor counts at bottleneck B
@@ -373,22 +410,21 @@ def _jag_m_opt_main0(pref: PrefixSum2D, m: int) -> Partition:
     spare = m - int(need.sum())
     assert spare >= 0
     if spare > 0:
-        # spread idle processors where they help the within-stripe balance
+        # spread idle processors where they help the within-stripe balance;
+        # allocate_processors returns entries >= 1 summing to spare + P,
+        # so need sums to exactly m
         rowsum = pref.axis_prefix(0, reuse=True)
         loads = rowsum[stripe_cuts[1:]] - rowsum[stripe_cuts[:-1]]
-        extra = allocate_processors(loads, spare + P) - 1
-        need = need + extra
-        while int(need.sum()) > m:  # allocate_processors guarantees == m here
-            need[int(np.argmax(need))] -= 1
+        need = need + allocate_processors(loads, spare + P) - 1
     col_cuts = []
     for s in range(P):
         band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]), reuse=True)
         q = int(need[s])
-        # optimal within the stripe (never worse than the greedy B-cuts)
+        # optimal within the stripe: q is at least the greedy count at B,
+        # so the stripe optimum never exceeds B
         b = bisect_bottleneck(band, q)
-        cc = probe_cuts(band, q, min(b, B) if b <= B else b)
-        if cc is None:
-            cc = probe_cuts(band, q, B)
+        assert b <= B
+        cc = probe_cuts(band, q, b)
         assert cc is not None
         col_cuts.append(cc)
     return build_jagged_partition(
@@ -396,7 +432,7 @@ def _jag_m_opt_main0(pref: PrefixSum2D, m: int) -> Partition:
     )
 
 
-jag_m_opt = oriented(_jag_m_opt_main0)
+jag_m_opt = oriented(_jag_m_opt_main0, pruned=_jag_m_opt_pruned)
 jag_m_opt.__name__ = "jag_m_opt"
 
 

@@ -14,6 +14,9 @@ formulas on deterministic seeded instances:
   a fixed constant of ``n + m·log₂(n)``.
 * HIER-RB evaluates at most 2 cut searches per tree node with even splits,
   and at most 4 with odd ones (§3.3).
+* JAG-PQ-OPT and JAG-M-OPT settle the losing orientation of -BEST with one
+  probe, and JAG-PQ-OPT brackets its stripe-end searches: their probe and
+  projection counts stay well below those of two full searches.
 
 Counts are architecture-independent, so unlike wall-clock benchmarks these
 assertions are exact and CI-stable.
@@ -213,6 +216,31 @@ def test_hier_relaxed_cut_calls_bounded_by_tree():
             with use_perf(perf), op_counters() as ops:
                 partition_2d(A, m, "HIER-RELAXED")
             assert m - 1 <= ops["cut_calls"] <= 2 * (m - 1), f"m={m} perf={perf}"
+
+
+# ---------------------------------------------------------------------------
+# exact jagged solvers: orientation pruning and stripe-end brackets
+
+
+@pytest.mark.parametrize(
+    "algo,bounds",
+    [
+        # two full searches with unbracketed stripe ends take 244 probes
+        # and 3,508 projection queries; pruned and bracketed, 122 and 360
+        ("JAG-PQ-OPT", {"probe_calls": 150, "proj_queries": 600}),
+        # two full searches take 100,793 probes and 317,375 queries; with
+        # the losing orientation settled by one DP pass, 37,579 and 173,639
+        ("JAG-M-OPT", {"probe_calls": 50_000, "proj_queries": 220_000}),
+    ],
+)
+def test_exact_jagged_best_probe_counts(algo, bounds):
+    from repro.instances.synthetic import peak
+
+    A = peak(256, seed=11)
+    with use_perf(True), op_counters() as ops:
+        partition_2d(PrefixSum2D(A), 64, algo)
+    for name, bound in bounds.items():
+        assert 0 < ops[name] <= bound, (name, ops[name])
 
 
 # ---------------------------------------------------------------------------
