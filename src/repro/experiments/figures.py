@@ -12,13 +12,16 @@ paper's sizes — see :mod:`repro.experiments.scale`) and are deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 
 from ..core.prefix import PrefixSum2D
 from ..core.registry import ALGORITHMS
 from ..instances import diagonal, multi_peak, peak, slac_instance, uniform
 from ..instances.pic import PICMagDataset
 from ..jagged.m_heur import jag_m_heur
-from ..parallel.pool import pmap, pmap_batched
+from ..parallel.config import effective_workers
+from ..parallel.pool import pmap_batched
+from ..parallel.worker import split_jobs
 from ..sweep import use_sweep
 from ..sweep.state import canonical_scope
 from ..theory.bounds import theorem3_ratio
@@ -74,34 +77,22 @@ _INSTANCE_FAMILIES = {
 }
 
 
-def _imbalance_cell(payload) -> tuple[int, float]:
-    """One seeded (instance, algorithm, m) cell: ``(Lmax, Lavg)``.
+def _lmax_lavg(pref, cells) -> Iterator[tuple[int, float]]:
+    """``(Lmax, Lavg)`` of each ``(algo, m, kw)`` cell, solved on one prefix."""
+    for algo, m, kw in cells:
+        part = ALGORITHMS[algo](pref, m, **kw)
+        yield part.max_load(pref), pref.total / m
 
-    Top-level and driven by a picklable payload so ``repro-experiments
-    --jobs N`` can fan the cells of a figure out over the worker pool.
+
+def _seed_cells(payload) -> list[tuple[int, float]]:
+    """One seed's chunk of cells: the instance is built once for the chunk.
+
+    Top-level and driven by a picklable ``(family, n, seed, cells)`` payload
+    so ``repro-experiments --jobs N`` can fan a seed's cells out over the
+    worker pool.
     """
-    family, n, seed, algo, m, kw = payload
-    A = _INSTANCE_FAMILIES[family](n, seed=seed)
-    pref = PrefixSum2D(A)
-    part = ALGORITHMS[algo](pref, m, **kw)
-    return part.max_load(pref), pref.total / m
-
-
-def _avg_imbalance(
-    spec: tuple[str, int], seeds: int, algo: str, m: int, **kw
-) -> float:
-    """Paper's synthetic-dataset metric: ``sum_I Lmax(I) / sum_I Lavg(I) - 1``.
-
-    ``spec`` names the instance family and size, e.g. ``("peak", 1024)``.
-    The cells are independent; :func:`~repro.parallel.pool.pmap` preserves
-    seed order, so the float reduction is bit-identical for any worker count.
-    """
-    cells = pmap(_imbalance_cell, [(spec[0], spec[1], s, algo, m, kw) for s in range(seeds)])
-    lmax_sum = sum(lmax for lmax, _ in cells)
-    lavg_sum = 0.0
-    for _, lavg in cells:
-        lavg_sum += lavg
-    return lmax_sum / lavg_sum - 1.0
+    family, n, seed, cells = payload
+    return list(_lmax_lavg(PrefixSum2D(_INSTANCE_FAMILIES[family](n, seed=seed)), cells))
 
 
 def _avg_imbalance_grid(
@@ -110,62 +101,70 @@ def _avg_imbalance_grid(
     grid: list[tuple[str, int, dict]],
     profile: str | None = None,
 ) -> list[float]:
-    """Whole-sweep twin of :func:`_avg_imbalance`: every ``(algo, m)`` at once.
+    """Paper's synthetic-dataset metric for every ``(algo, m, kw)`` of ``grid``.
 
-    Per-cell pool dispatch pays a round trip per *seed*; a figure sweep has
-    ``len(grid) × seeds`` sub-millisecond cells, so the round trips dominate.
-    Shipping the full grid through one :func:`~repro.parallel.pool.pmap_batched`
-    call amortizes dispatch over whole chunks while the reduction below runs
-    per cell in seed order — bit-identical to calling
-    :func:`_avg_imbalance` cell by cell, for any worker count.
+    Each value is ``sum_I Lmax(I) / sum_I Lavg(I) - 1`` over the seeded
+    instances ``I`` of ``spec`` (the family and size, e.g. ``("peak", 1024)``).
+    The work goes seed-major.  On the serial path seed ``s``'s instance and
+    prefix sums are built once and serve its digest and all its cells.  On
+    the pool path the seed's missing cells travel as a few
+    ``(family, n, seed, cells)`` chunks and each worker builds the instance
+    once per chunk.  The reduction below runs per cell in seed order, so the
+    result is bit-identical for any worker count.
 
     With an ambient raw store (and a ``profile`` name to key under), the
-    parent resolves every per-seed cell against the store first, ships only
-    the misses — in chunks, flushing each chunk's results before the next
-    dispatch, so an interrupted run resumes from the flushed cells — and
-    reassembles in payload order, keeping the reduction bit-identical.
+    seed's cells are first resolved against the store by the digest of the
+    seed's instance; only the misses are solved, and each result is flushed
+    before the next seed dispatches (the serial path flushes cell by cell),
+    so an interrupted run resumes from the flushed cells.
     """
-    payloads = [
-        (spec[0], spec[1], s, algo, m, kw)
-        for algo, m, kw in grid
-        for s in range(seeds)
-    ]
-    store = current_raw_store()
-    if store is None or profile is None:
-        cells = pmap_batched(_imbalance_cell, payloads)
-    else:
-        family, n = spec
-        digests = [
-            digest_matrix(_INSTANCE_FAMILIES[family](n, seed=s)) for s in range(seeds)
-        ]
-        keys = [
-            RawStore.make_key(
-                profile=profile,
-                digest=digests[s],
-                algo=algo,
-                m=m,
-                scope=canonical_scope(kw),
-                metric="lmax_lavg",
-            )
-            for _, _, s, algo, m, kw in payloads
-        ]
-        cells = [store.load(k) for k in keys]
-        miss_idx = [i for i, v in enumerate(cells) if v is MISS]
-        chunk = max(8, seeds * 2)
-        for start in range(0, len(miss_idx), chunk):
-            idxs = miss_idx[start : start + chunk]
-            fresh = pmap_batched(_imbalance_cell, [payloads[i] for i in idxs])
-            for i, (lmax, lavg) in zip(idxs, fresh):
-                val = [int(lmax), float(lavg)]
-                store.store(keys[i], val)
-                cells[i] = val
+    family, n = spec
+    store = current_raw_store() if profile is not None else None
+    workers = effective_workers()
+    cells: list[list] = []  # cells[s][c]: (Lmax, Lavg) of seed s, grid cell c
+    for s in range(seeds):
+        A = None
+        if store is not None or not workers:
+            A = _INSTANCE_FAMILIES[family](n, seed=s)
+        keys: list[str] = []
+        row: list = [MISS] * len(grid)
+        if store is not None:
+            dig = digest_matrix(A)
+            keys = [
+                RawStore.make_key(
+                    profile=profile,
+                    digest=dig,
+                    algo=algo,
+                    m=m,
+                    scope=canonical_scope(kw),
+                    metric="lmax_lavg",
+                )
+                for algo, m, kw in grid
+            ]
+            row = [store.load(k) for k in keys]
+        todo = [c for c, v in enumerate(row) if v is MISS]
+        if not todo:
+            cells.append(row)
+            continue
+        if workers:
+            chunks = [
+                (family, n, s, tuple(grid[c] for c in part))
+                for part in split_jobs(todo, 2 * workers)
+            ]
+            fresh = [v for vals in pmap_batched(_seed_cells, chunks) for v in vals]
+        else:  # lazy: each cell is flushed as soon as it is solved
+            fresh = _lmax_lavg(PrefixSum2D(A), [grid[c] for c in todo])
+        for c, (lmax, lavg) in zip(todo, fresh):
+            if store is not None:
+                store.store(keys[c], [lmax, lavg])
+            row[c] = (lmax, lavg)
+        cells.append(row)
     out = []
     for c in range(len(grid)):
-        block = cells[c * seeds : (c + 1) * seeds]
-        lmax_sum = sum(lmax for lmax, _ in block)
+        lmax_sum = sum(cells[s][c][0] for s in range(seeds))
         lavg_sum = 0.0
-        for _, lavg in block:
-            lavg_sum += lavg
+        for s in range(seeds):
+            lavg_sum += cells[s][c][1]
         out.append(lmax_sum / lavg_sum - 1.0)
     return out
 
@@ -198,8 +197,8 @@ def fig03_hier_rb_variants(scale=None) -> FigureResult:
         "load imbalance",
         notes=f"scale={sc.name}; paper: 1024x1024, m up to 10,000",
     )
-    # the whole (m × variant) grid ships to the pool in one batched call;
-    # the per-cell reduction order matches the serial loops exactly
+    # the whole (m × variant) grid runs on one instance build per seed;
+    # the per-cell reduction runs in seed order for any worker count
     grid = [
         (f"HIER-RB-{variant}", m, {})
         for m in sc.m_values

@@ -150,8 +150,8 @@ def _memo_bounds(entries: list, B: int) -> tuple[int, int | None]:
 
 def _min_processors(
     pref: PrefixSum2D, B: int, m_cap: int, memo: dict | None = None
-) -> np.ndarray | None:
-    """``f`` array of the minimum-processor DP, or None when ``f > m_cap`` everywhere.
+) -> tuple[int, np.ndarray] | None:
+    """Minimum-processor DP at ``B``: ``(f[n1], stripe cuts)``, or None when ``f[n1] > m_cap``.
 
     ``f[i]`` = minimum rectangles of load ``<= B`` forming a jagged partition
     of rows ``[0, i)`` (all columns).  Entries above ``m_cap`` are clamped to
@@ -159,6 +159,9 @@ def _min_processors(
     carries ``(k, i) -> [(B', parts', exact')]`` stripe evaluations across
     bisection iterations (see :func:`_memo_bounds`); the bounds either skip
     a candidate outright or pin its count without re-running the greedy.
+    The stripe cuts follow the first strict improvement of each ``f[i]`` in
+    candidate order; the memo bounds only drop candidates that cannot
+    *strictly* improve, so the cuts are the same whatever the memo holds.
     """
     n1 = pref.n1
     fast = perf_enabled()
@@ -166,16 +169,16 @@ def _min_processors(
         memo = {}
     rowsum = pref.axis_prefix(0, reuse=True)  # length n1+1
     f = np.full(n1 + 1, _INF, dtype=np.int64)
+    arg = [0] * (n1 + 1)
     f[0] = 0
     for i in range(1, n1 + 1):
-        ks = np.arange(i)
         fk = f[:i]
         # cheap lower bound on the stripe cost: ceil(load/B), at least 1
         stripe_load = rowsum[i] - rowsum[:i]
         lb = fk + np.maximum(1, -(-stripe_load // B)) if B > 0 else fk + 1
         order = np.argsort(lb, kind="stable")
-        best = _INF
-        for k in ks[order]:
+        best, best_k = _INF, 0
+        for k in order:
             if lb[k] >= best or lb[k] > m_cap:
                 break
             kk = int(k)
@@ -203,13 +206,21 @@ def _min_processors(
                 parts = _stripe_min_parts(pref, kk, i, B, cap)
             cost = f[kk] + parts
             if parts <= cap and cost < best:
-                best = cost
+                best, best_k = cost, kk
         f[i] = best
+        arg[i] = best_k
         if fast and best > m_cap:
             # f is non-decreasing in i (truncating a partition of [0, i) to
             # [0, i') never adds rectangles), so one infeasible row decides
             return None
-    return f if f[n1] <= m_cap else None
+    if f[n1] > m_cap:
+        return None
+    cuts = [n1]
+    i = n1
+    while i > 0:
+        i = arg[i]
+        cuts.append(i)
+    return int(f[n1]), np.array(cuts[::-1], dtype=np.int64)
 
 
 def _shared_memo(pref: PrefixSum2D) -> dict | None:
@@ -229,9 +240,13 @@ def _shared_memo(pref: PrefixSum2D) -> dict | None:
     return {}
 
 
-def _probe(pref: PrefixSum2D, B: int, m: int, memo: dict | None) -> bool:
+def _probe(
+    pref: PrefixSum2D, B: int, m: int, memo: dict | None
+) -> tuple[bool, np.ndarray | None]:
     """Is bottleneck ``B`` feasible with ``m`` processors (``F(B) <= m``)?
 
+    Returns the answer and, when the DP ran and ``B`` is feasible, the
+    stripe cuts of its minimum-processor solution (``None`` otherwise).
     ``F(B)``, the minimum processor count at bottleneck ``B``, is one
     non-increasing staircase shared by every ``m``, so each probe's exact
     result (or its proven "> m" lower bound) is recorded under
@@ -245,14 +260,14 @@ def _probe(pref: PrefixSum2D, B: int, m: int, memo: dict | None) -> bool:
     if entries is not None:
         flo, fhi = _memo_bounds(entries, B)
         if fhi is not None and fhi <= m:
-            return True
+            return True, None
         if flo > m:
-            return False
-    f = _min_processors(pref, B, m, memo)
+            return False, None
+    sol = _min_processors(pref, B, m, memo)
     if memo is not None:
-        rec = (B, int(f[pref.n1]), True) if f is not None else (B, m + 1, False)
+        rec = (B, sol[0], True) if sol is not None else (B, m + 1, False)
         _memo_record(memo, _PROBE_KEY, entries, rec)
-    return f is not None
+    return (True, sol[1]) if sol is not None else (False, None)
 
 
 def jag_m_opt_bottleneck(
@@ -279,6 +294,18 @@ def jag_m_opt_bottleneck(
     proven stripe facts, so the returned optimum is bit-identical to a cold
     call's.
     """
+    return _bisect(pref, m, ub=ub, memo=memo, below=below)[0]
+
+
+def _bisect(
+    pref: PrefixSum2D, m: int, *, ub: int | None, memo: dict | None, below: int | None
+) -> tuple[int | None, np.ndarray | None]:
+    """:func:`jag_m_opt_bottleneck` plus the stripe cuts of its DP pass at the optimum.
+
+    The cuts are those of the bisection's feasible probe at the optimum, or
+    ``None`` when no probe there ran the DP (the optimum came from a bound
+    or a recorded fact).
+    """
     if m <= 0:
         raise ParameterError("m must be positive")
     state = _sweep_current()
@@ -287,22 +314,26 @@ def jag_m_opt_bottleneck(
     if state is not None:
         exact, wlb, wub = state.mono_bounds(pref, "jag_m", m)
         if exact is not None:
-            return None if below is not None and exact >= below else exact
+            return (None if below is not None and exact >= below else exact), None
     lb = max(-(-pref.total // m), pref.max_element())
     if wlb is not None and wlb > lb:
         lb = wlb
     if memo is None:
         memo = _shared_memo(pref)
+    found: tuple[int, np.ndarray] | None = None  # (B, cuts) of a DP-run feasible probe
     if below is not None:
         if lb >= below:
-            return None
+            return None, None
         if ub is None or ub >= below:
             if wub is not None and wub < below:
                 ub = wub
-            elif _probe(pref, below - 1, m, memo):
-                ub = below - 1
             else:
-                return None
+                ok, cuts = _probe(pref, below - 1, m, memo)
+                if not ok:
+                    return None, None
+                ub = below - 1
+                if cuts is not None:
+                    found = (ub, cuts)
     elif ub is None:
         if state is not None and state.mono_witness(pref, "jag_m", m) is not None:
             # a same-m witness is exactly what the internal heuristic would
@@ -318,74 +349,16 @@ def jag_m_opt_bottleneck(
         ub = max(lb, wub)
     while lb < ub:
         mid = (lb + ub) // 2
-        if _probe(pref, mid, m, memo):
+        ok, cuts = _probe(pref, mid, m, memo)
+        if ok:
             ub = mid
+            if cuts is not None:
+                found = (mid, cuts)
         else:
             lb = mid + 1
     if state is not None:
         state.record_mono_opt(pref, "jag_m", m, int(lb))
-    return int(lb)
-
-
-def _backtrack_stripes(
-    pref: PrefixSum2D, B: int, m: int, memo: dict | None = None
-) -> np.ndarray:
-    """Stripe cuts of a minimum-processor solution at bottleneck ``B``."""
-    n1 = pref.n1
-    fast = perf_enabled()
-    if fast and memo is None:
-        memo = {}
-    rowsum = pref.axis_prefix(0, reuse=True)
-    f = np.full(n1 + 1, _INF, dtype=np.int64)
-    arg = np.zeros(n1 + 1, dtype=np.int64)
-    f[0] = 0
-    for i in range(1, n1 + 1):
-        stripe_load = rowsum[i] - rowsum[:i]
-        lb = f[:i] + np.maximum(1, -(-stripe_load // B)) if B > 0 else f[:i] + 1
-        order = np.argsort(lb, kind="stable")
-        best, best_k = _INF, 0
-        for k in order:
-            if lb[k] >= best or lb[k] > m:
-                break
-            kk = int(k)
-            cap = int(min(best - 1 - f[kk], m - f[kk]))
-            if cap < 1:
-                continue
-            if fast:
-                # same memo bounds as _min_processors: they only drop
-                # candidates proven unable to *strictly* improve (or pin
-                # their exact count), so the first-strict-improvement
-                # choice of best_k is unchanged
-                key = (kk, i)
-                entries = memo.get(key)  # type: ignore[union-attr]
-                lower = int(lb[k] - f[kk])
-                hi: int | None = None
-                if entries is not None:
-                    lo2, hi = _memo_bounds(entries, B)
-                    if lo2 > lower:
-                        lower = lo2
-                if int(f[kk]) + lower >= best:
-                    continue
-                if hi is not None and hi == lower:
-                    parts = lower
-                else:
-                    parts = _stripe_min_parts(pref, kk, i, B, cap, est=lower)
-                    rec = (B, parts, parts <= cap)
-                    _memo_record(memo, key, entries, rec)  # type: ignore[arg-type]
-            else:
-                parts = _stripe_min_parts(pref, kk, i, B, cap)
-            cost = f[kk] + parts
-            if parts <= cap and cost < best:
-                best, best_k = cost, kk
-        f[i] = best
-        arg[i] = best_k
-    assert f[n1] <= m, "backtrack called with infeasible bottleneck"
-    cuts = [n1]
-    i = n1
-    while i > 0:
-        i = int(arg[i])
-        cuts.append(i)
-    return np.array(cuts[::-1], dtype=np.int64)
+    return int(lb), (found[1] if found is not None and found[0] == lb else None)
 
 
 def _jag_m_opt_main0(pref: PrefixSum2D, m: int) -> Partition:
@@ -398,10 +371,13 @@ def _jag_m_opt_main0(pref: PrefixSum2D, m: int) -> Partition:
 def _jag_m_opt_pruned(pref: PrefixSum2D, m: int, *, below: int | None) -> Partition | None:
     """:func:`_jag_m_opt_main0`, or ``None`` when the optimum is ``>= below``."""
     memo = _shared_memo(pref)
-    B = jag_m_opt_bottleneck(pref, m, memo=memo, below=below)
+    B, stripe_cuts = _bisect(pref, m, ub=None, memo=memo, below=below)
     if B is None:
         return None
-    stripe_cuts = _backtrack_stripes(pref, B, m, memo)
+    if stripe_cuts is None:  # no probe at B ran the DP: run it once
+        sol = _min_processors(pref, B, m, memo)
+        assert sol is not None, "the optimum must be feasible"
+        stripe_cuts = sol[1]
     P = len(stripe_cuts) - 1
     # minimum per-stripe processor counts at bottleneck B
     need = np.empty(P, dtype=np.int64)

@@ -206,3 +206,20 @@ def test_single_cpu_force_overrides(force_dispatch, monkeypatch):
     with use_parallel(True, workers=2, force=True):
         assert effective_workers() == 2
     shutdown_pool()
+
+
+@pytest.mark.parametrize("fig", ["fig03", "fig04"])
+def test_seed_major_figure_grid_pool_equals_serial(force_dispatch, tmp_path, fig):
+    """fig03/fig04 ship per-seed chunks of cells: pooled CSVs equal serial bytes."""
+    from repro.experiments import TINY, use_raw_store
+    from repro.experiments.figures import fig03_hier_rb_variants, fig04_hier_relaxed_variants
+    from repro.experiments.rawstore import RawStore
+
+    run = {"fig03": fig03_hier_rb_variants, "fig04": fig04_hier_relaxed_variants}[fig]
+    with use_parallel(False):
+        serial = run(TINY).csv_bytes()
+    with use_parallel(True, workers=2, force=True):
+        pooled = run(TINY).csv_bytes()
+        with use_raw_store(None, store=RawStore(tmp_path)):
+            stored = run(TINY).csv_bytes()
+    assert pooled == serial == stored

@@ -12,6 +12,7 @@ Covers the three pillars the module promises:
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -225,22 +226,26 @@ class TestFigureFarm:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_kill_and_resume_byte_identical(self, tmp_path, jobs):
-        baseline = _figures_under(RawStore(tmp_path / "baseline"))
+        # fig05/fig13 resolve cell by cell; fig03/fig04 take the seed-major
+        # grid path of _avg_imbalance_grid
+        for figs in (("fig05", "fig13"), ("fig03", "fig04")):
+            root = tmp_path / "-".join(figs)
+            baseline = _figures_under(RawStore(root / "baseline"), figs)
 
-        killed = InterruptingRawStore(tmp_path / "resumed", abort_after=7)
-        ctx = use_parallel(True, workers=jobs, force=True)
-        with ctx:
-            with pytest.raises(SimulatedInterrupt):
-                _figures_under(killed)
-            flushed = sum(
-                len(files) for _, _, files in os.walk(tmp_path / "resumed")
-            )
-            assert flushed == 7  # every write up to the kill landed atomically
+            killed = InterruptingRawStore(root / "resumed", abort_after=7)
+            ctx = use_parallel(True, workers=jobs, force=True)
+            with ctx:
+                with pytest.raises(SimulatedInterrupt):
+                    _figures_under(killed, figs)
+                flushed = sum(
+                    len(files) for _, _, files in os.walk(root / "resumed")
+                )
+                assert flushed == 7  # every write up to the kill landed atomically
 
-            resumer = RawStore(tmp_path / "resumed")
-            resumed = _figures_under(resumer)
-        assert resumed == baseline
-        assert resumer.hits >= 7  # the flushed cells were reused, not redone
+                resumer = RawStore(root / "resumed")
+                resumed = _figures_under(resumer, figs)
+            assert resumed == baseline
+            assert resumer.hits >= 7  # the flushed cells were reused, not redone
 
     def test_tampered_store_still_correct(self, tmp_path):
         root = tmp_path / "raw"  # conftest parks $REPRO_CACHE in tmp_path
@@ -263,6 +268,48 @@ class TestFigureFarm:
         with use_raw_store(None, store=store):
             ALL_FIGURES["fig05"](other)
         assert store.hits == 0 and store.misses > 0
+
+
+#: SHA-256 of the TINY fig03/fig04 CSVs as the per-cell grid path wrote them
+#: (one instance build per cell); the seed-major path must write the same bytes
+GRID_CSV_SHA256 = {
+    "fig03": "7a57c3b373ca5a6450c00181f1c9da53105c6d1f17b1efb56a28373515247abf",
+    "fig04": "87b3b957ab952cd192e69cc86898e51db6b71bd779fb3676e2a5a30d0a9ebb0c",
+}
+
+
+def _count_builds(monkeypatch):
+    """Wrap every synthetic family of the averaged figures in a build counter."""
+    from repro.experiments import figures
+
+    builds = []
+    for fam, make in list(figures._INSTANCE_FAMILIES.items()):
+        def counted(n, *args, _fam=fam, _make=make, **kwargs):
+            builds.append((_fam, n, kwargs.get("seed")))
+            return _make(n, *args, **kwargs)
+
+        monkeypatch.setitem(figures._INSTANCE_FAMILIES, fam, counted)
+    return builds
+
+
+class TestGridPath:
+    """fig03/fig04: every seed's instance is built once for the whole grid."""
+
+    @pytest.mark.parametrize("fig", ["fig03", "fig04"])
+    @pytest.mark.parametrize("stored", ["no-store", "cold-store", "warm-store"])
+    def test_serial_builds_each_seed_once(self, tmp_path, monkeypatch, fig, stored):
+        store = None
+        if stored != "no-store":
+            store = RawStore(tmp_path)
+            if stored == "warm-store":
+                _figures_under(store, (fig,))
+        builds = _count_builds(monkeypatch)
+        with use_parallel(False):
+            out = _figures_under(store, (fig,))
+        # the per-cell path built seeds × (len(grid) + 1) instances
+        assert len(builds) <= TINY.seeds
+        assert sorted(seed for _, _, seed in builds) == list(range(TINY.seeds))
+        assert hashlib.sha256(out[fig]).hexdigest() == GRID_CSV_SHA256[fig]
 
 
 def _rewrite(path, field, value):

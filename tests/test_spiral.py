@@ -1,5 +1,8 @@
 """Tests for spiral partitions (the §3.4 general recursive scheme)."""
 
+import hashlib
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.errors import ParameterError
-from repro.spiral import spiral_opt, spiral_opt_bottleneck, spiral_relaxed
+from repro.core.prefix import PrefixSum2D
+from repro.core.rectangle import Rect
+from repro.core.sparse import SparsePrefix2D
+from repro.instances import peak
+from repro.spiral import SIDES, spiral_opt, spiral_opt_bottleneck, spiral_relaxed
+from repro.spiral.peel import _side_extent, _spiral_solver, _strip
 
 tiny_matrices = hnp.arrays(
     dtype=np.int64,
@@ -102,3 +110,101 @@ class TestSpiralOpt:
     def test_single_processor_exact(self, rng):
         A = rng.integers(1, 9, (4, 4))
         assert spiral_opt_bottleneck(A, 1) == A.sum()
+
+
+def _reference_solver(pref):
+    """The spiral DP on ``Rect`` pairs and ``pref.load``: the list-Γ oracle."""
+
+    @lru_cache(maxsize=None)
+    def solve(r0, r1, c0, c1, side_idx, procs, skips):
+        rect = Rect(r0, r1, c0, c1)
+        load = pref.load(r0, r1, c0, c1)
+        if procs == 1 or rect.is_empty:
+            return load
+        side = SIDES[side_idx]
+        extent = _side_extent(rect, side)
+        nxt = (side_idx + 1) % 4
+        best = None
+        for width in range(1, extent + 1):
+            strip, rest = _strip(rect, side, width)
+            sl = pref.load(strip.r0, strip.r1, strip.c0, strip.c1)
+            if best is not None and sl >= best:
+                break
+            v = max(sl, solve(rest.r0, rest.r1, rest.c0, rest.c1, nxt, procs - 1, 0))
+            if best is None or v < best:
+                best = v
+        if extent <= 1 and skips < 3:
+            skip = solve(r0, r1, c0, c1, nxt, procs, skips + 1)
+            if best is None or skip < best:
+                best = skip
+        return load if best is None else best
+
+    return solve
+
+
+def _oracle_matrices():
+    """~40 small seeded matrices: zero rows/columns, 1-wide shapes, all-zero."""
+    rng = np.random.default_rng(2024)
+    mats = []
+    for k in range(40):
+        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        if k % 10 == 0:
+            shape = (1, shape[1])  # 1-high: every top/bottom peel empties it
+        elif k % 10 == 1:
+            shape = (shape[0], 1)
+        A = rng.integers(0, 12, shape)
+        if k % 3 == 0:
+            A[rng.integers(0, shape[0])] = 0
+        if k % 4 == 0:
+            A[:, rng.integers(0, shape[1])] = 0
+        if k == 39:
+            A[:] = 0
+        mats.append(A)
+    return mats
+
+
+class TestSpiralListDP:
+    @pytest.mark.parametrize("idx", range(40))
+    def test_matches_rect_oracle(self, idx):
+        A = _oracle_matrices()[idx]
+        pref = PrefixSum2D(A)
+        ref = _reference_solver(pref)
+        fast = _spiral_solver(pref)
+        n1, n2 = A.shape
+        for m in range(1, 7):
+            for side in range(4):
+                assert fast(0, n1, 0, n2, side, m, 0) == ref(0, n1, 0, n2, side, m, 0)
+
+    def test_remainder_one_wide_hits_skip_rule(self):
+        # 4×2: after two top peels the right side has extent 2, then a
+        # 1-wide remainder forces skips on the following sides
+        A = np.array([[2, 2], [2, 2], [5, 2], [2, 2]])
+        pref = PrefixSum2D(A)
+        ref, fast = _reference_solver(pref), _spiral_solver(pref)
+        for m in range(1, 9):
+            for side in range(4):
+                for skips in range(4):
+                    assert fast(0, 4, 0, 2, side, m, skips) == ref(0, 4, 0, 2, side, m, skips)
+                    assert fast(1, 4, 1, 2, side, m, skips) == ref(1, 4, 1, 2, side, m, skips)
+
+    @pytest.mark.parametrize("idx", range(0, 40, 4))
+    def test_dense_equals_sparse(self, idx):
+        A = _oracle_matrices()[idx]
+        dense, sparse = PrefixSum2D(A), SparsePrefix2D(A)
+        for m in (1, 3, 5):
+            assert spiral_opt_bottleneck(sparse, m) == spiral_opt_bottleneck(dense, m)
+            assert spiral_opt(sparse, m).rects == spiral_opt(dense, m).rects
+
+    @pytest.mark.parametrize(
+        "m,sha",
+        [
+            (2, "091db22f687f669b73bd111b2738968ca9c7a94508a8b5a52dd386af4833e0cc"),
+            (4, "41f583410bccda9bcd875aa8a63bd1d10040c6aacc41434088642701a1dac67e"),
+            (6, "79c25823ae8561aa33a1c06eaa149536c662e850255a1043ca67de790c655a8f"),
+        ],
+    )
+    def test_ext5_partitions_pinned(self, m, sha):
+        """SPIRAL-OPT on ext5's 20×20 Peak, as the ``Rect``-based DP found it."""
+        part = spiral_opt(peak(20, seed=0), m)
+        coords = [(r.r0, r.r1, r.c0, r.c1) for r in part.rects]
+        assert hashlib.sha256(repr(coords).encode()).hexdigest() == sha
